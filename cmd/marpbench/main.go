@@ -123,11 +123,11 @@ func run(expFlag, cpuProf, memProf string, opts harness.FigureOptions) int {
 		run  func(harness.FigureOptions) ([]*metrics.Table, error)
 		// isolate re-execs the experiment in a child process when it runs
 		// as part of a multi-experiment batch. A9 measures wall-clock
-		// throughput whose gob baseline is GC-pacing-bound: the live heap
-		// the preceding experiments leave behind raises the pacer's goal
-		// and moves that one row ±15% between a fresh process and a warm
-		// one. Isolation makes the batch measure the same fresh process
-		// that `marpbench -exp a9` — the documented reproduce line — does.
+		// throughput that is sensitive to GC pacing: the live heap the
+		// preceding experiments leave behind raises the pacer's goal and
+		// moves its cells between a fresh process and a warm one.
+		// Isolation makes the batch measure the same fresh process that
+		// `marpbench -exp a9` — the documented reproduce line — does.
 		isolate bool
 	}
 	table := func(f func(harness.FigureOptions) (*metrics.Table, []harness.RunResult, error)) func(harness.FigureOptions) ([]*metrics.Table, error) {

@@ -12,7 +12,7 @@
 //	marpctl [-addr host:port] [-json] digest <node>
 //	marpctl [-addr host:port] [-json] referee
 //	marpctl [-addr host:port] stats
-//	marpctl spec expand <cluster.toml|cluster.json>
+//	marpctl spec expand <cluster.json>
 //
 // Connecting retries up to three times with exponential backoff (covers the
 // common race of starting marpd and marpctl together); -timeout bounds each

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -20,7 +21,6 @@ func baseFlags() liveFlags {
 		Fsync:    "commit",
 		Shards:   1,
 		Geometry: "majority",
-		Codec:    "wire",
 	}
 }
 
@@ -66,33 +66,20 @@ func TestResolveLivePeerErrors(t *testing.T) {
 
 func TestResolveLiveSpec(t *testing.T) {
 	dir := t.TempDir()
-	specPath := filepath.Join(dir, "cluster.toml")
-	if err := os.WriteFile(specPath, []byte(`
-shards = 2
-geometry = "majority"
-fsync = "none"
-commit_delay = "150us"
-seed = 11
-data_root = "`+dir+`"
-
-[[node]]
-id = 1
-fabric = "127.0.0.1:7801"
-client = "127.0.0.1:7707"
-ops = "127.0.0.1:9101"
-
-[[node]]
-id = 2
-fabric = "127.0.0.1:7802"
-client = "127.0.0.1:7708"
-ops = "127.0.0.1:9102"
-
-[[node]]
-id = 3
-fabric = "127.0.0.1:7803"
-client = "127.0.0.1:7709"
-ops = "127.0.0.1:9103"
-`), 0o644); err != nil {
+	specPath := filepath.Join(dir, "cluster.json")
+	if err := os.WriteFile(specPath, []byte(`{
+	"shards": 2,
+	"geometry": "majority",
+	"fsync": "none",
+	"commit_delay": "150us",
+	"seed": 11,
+	"data_root": `+strconv.Quote(dir)+`,
+	"nodes": [
+		{"id": 1, "fabric": "127.0.0.1:7801", "client": "127.0.0.1:7707", "ops": "127.0.0.1:9101"},
+		{"id": 2, "fabric": "127.0.0.1:7802", "client": "127.0.0.1:7708", "ops": "127.0.0.1:9102"},
+		{"id": 3, "fabric": "127.0.0.1:7803", "client": "127.0.0.1:7709", "ops": "127.0.0.1:9103"}
+	]
+}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	f := baseFlags()
@@ -125,8 +112,8 @@ ops = "127.0.0.1:9103"
 	}
 
 	// A spec that fails validation (duplicate IDs) is rejected.
-	badPath := filepath.Join(dir, "bad.toml")
-	os.WriteFile(badPath, []byte("[[node]]\nid = 1\nfabric = \"127.0.0.1:1\"\n[[node]]\nid = 1\nfabric = \"127.0.0.1:2\"\n"), 0o644)
+	badPath := filepath.Join(dir, "bad.json")
+	os.WriteFile(badPath, []byte(`{"nodes": [{"id": 1, "fabric": "127.0.0.1:1"}, {"id": 1, "fabric": "127.0.0.1:2"}]}`), 0o644)
 	f = baseFlags()
 	f.Spec, f.Peers, f.Node = badPath, "", 1
 	if _, _, _, err := resolveLive(f); err == nil || !strings.Contains(err.Error(), "duplicate node id") {

@@ -28,9 +28,9 @@
 // spec file (internal/clusterspec; `marpctl spec expand` shows the
 // derived flags):
 //
-//	marpd -spec cluster.toml -mode live -node 1
-//	marpd -spec cluster.toml -mode live -node 2
-//	marpd -spec cluster.toml -mode live -node 3
+//	marpd -spec cluster.json -mode live -node 1
+//	marpd -spec cluster.json -mode live -node 2
+//	marpd -spec cluster.json -mode live -node 3
 //
 // A malformed -peers string or spec (duplicate IDs, missing self entry,
 // unparseable address) makes marpd exit 2 before anything listens.
@@ -101,13 +101,12 @@ func main() {
 		mode     = flag.String("mode", "sim", "sim (whole cluster, simulated network) or live (one replica per process)")
 		node     = flag.Int("node", 0, "this process's replica ID (live mode)")
 		peers    = flag.String("peers", "", "replica fabric addresses, id=host:port comma-separated (live mode)")
-		spec     = flag.String("spec", "", "cluster spec file (.toml or .json); replaces -peers and cluster-level flags (live mode)")
+		spec     = flag.String("spec", "", "cluster spec file (.json); replaces -peers and cluster-level flags (live mode)")
 		opsAddr  = flag.String("ops", "", "ops HTTP listen address serving /metrics and /healthz (empty = no ops listener)")
 		dataDir  = flag.String("data-dir", "", "durability directory: WAL + snapshots; restart with the same dir to recover (live mode)")
 		fsync    = flag.String("fsync", "commit", "WAL fsync policy with -data-dir: commit, always, none")
 		shards   = flag.Int("shards", 1, "key-space shards (independent per-key locking domains)")
 		geometry = flag.String("geometry", "majority", "quorum geometry: majority, grid, tree")
-		codec    = flag.String("codec", "wire", "fabric codec (live mode): wire (zero-alloc binary) or gob (legacy)")
 		commit   = flag.Duration("commit-delay", 0, "WAL group-commit window with -data-dir, e.g. 200us; 0 = fsync per commit (live mode)")
 		ackDelay = flag.Duration("ack-delay", 0, "migration ack aggregation window, e.g. 500us; 0 = ack immediately (live mode)")
 		record   = flag.String("record", "", "incident-recording spool directory: accepted submits are appended as scenario events (share one dir across the cluster; see marpctl snapshot-scenario)")
@@ -153,7 +152,7 @@ func main() {
 			Spec: *spec, Node: *node, Peers: *peers,
 			Addr: *addr, Ops: *opsAddr,
 			Seed: *seed, DataDir: *dataDir, Fsync: *fsync,
-			Shards: *shards, Geometry: *geometry, Codec: *codec,
+			Shards: *shards, Geometry: *geometry,
 			CommitDelay: *commit, AckDelay: *ackDelay,
 		})
 		if rerr != nil {
@@ -169,7 +168,7 @@ func main() {
 			// the subset that applies (no quorum geometry, no migration acks).
 			srv, err = transport.ServeLiveOptimistic(clientAddr, live.OptNodeConfig{
 				Self: cfg.Self, Addrs: cfg.Addrs, Seed: cfg.Seed,
-				DataDir: cfg.DataDir, Fsync: cfg.Fsync, Codec: cfg.Codec,
+				DataDir: cfg.DataDir, Fsync: cfg.Fsync,
 				Shards: cfg.Cluster.Shards,
 			})
 			break

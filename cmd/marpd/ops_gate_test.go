@@ -42,13 +42,15 @@ func TestOpsGate(t *testing.T) {
 	fabric := make([]string, n+1)
 	client := make([]string, n+1)
 	opsAddr := make([]string, n+1)
-	spec := "name = \"ops-gate\"\nshards = 2\ngeometry = \"majority\"\n"
+	var nodes []string
 	for i := 1; i <= n; i++ {
 		fabric[i], client[i], opsAddr[i] = freePort(t), freePort(t), freePort(t)
-		spec += fmt.Sprintf("\n[[node]]\nid = %d\nfabric = %q\nclient = %q\nops = %q\n",
-			i, fabric[i], client[i], opsAddr[i])
+		nodes = append(nodes, fmt.Sprintf(`{"id": %d, "fabric": %q, "client": %q, "ops": %q}`,
+			i, fabric[i], client[i], opsAddr[i]))
 	}
-	specPath := filepath.Join(t.TempDir(), "cluster.toml")
+	spec := `{"name": "ops-gate", "shards": 2, "geometry": "majority", "nodes": [` +
+		strings.Join(nodes, ", ") + `]}`
+	specPath := filepath.Join(t.TempDir(), "cluster.json")
 	if err := os.WriteFile(specPath, []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}

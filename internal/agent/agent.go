@@ -273,13 +273,6 @@ type AgentMsg struct {
 // Kind implements runtime.Kinder.
 func (*AgentMsg) Kind() string { return "agent-msg" }
 
-func init() {
-	runtime.RegisterWireType(&WireEnvelope{})
-	runtime.RegisterWireType(&MigrateAck{})
-	runtime.RegisterWireType(&MigrateAckBatch{})
-	runtime.RegisterWireType(&AgentMsg{})
-}
-
 // NewPlatform creates a platform over net, scheduling its timers on eng.
 func NewPlatform(eng runtime.Engine, net runtime.Fabric, cfg Config) *Platform {
 	cfg.fill()

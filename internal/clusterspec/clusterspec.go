@@ -3,20 +3,19 @@
 // how the key space is sharded, which quorum geometry and fsync policy
 // apply, and where durable state lives. One spec file replaces the
 // hand-written -peers string every process had to agree on —
-// `marpd -spec cluster.toml -node 2` derives all its flags from the
-// file, and `marpctl spec expand cluster.toml` prints the per-node
+// `marpd -spec cluster.json -node 2` derives all its flags from the
+// file, and `marpctl spec expand cluster.json` prints the per-node
 // flag sets for anyone scripting around it.
 //
-// Specs load from JSON (stdlib) or from a deliberately small TOML
-// subset parsed by hand (the toolchain bakes in no TOML dependency):
-// comments, top-level `key = value` pairs, and `[[node]]` array tables
-// with string/integer values. That subset is exactly what a cluster
-// spec needs; anything fancier is rejected with a line number.
+// Specs are JSON. Unknown keys are refused, so a typo never silently
+// drops a setting.
 package clusterspec
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -67,8 +66,6 @@ type Spec struct {
 	// AckDelay is the migration ack aggregation window as a Go
 	// duration string; empty = ack immediately.
 	AckDelay string `json:"ack_delay,omitempty"`
-	// Codec is the fabric codec: wire (default) or gob.
-	Codec string `json:"codec,omitempty"`
 	// Seed is the per-process random seed (default 1).
 	Seed int64 `json:"seed,omitempty"`
 	// DataRoot, when set, gives every node without an explicit DataDir
@@ -78,22 +75,16 @@ type Spec struct {
 	Nodes []Node `json:"nodes"`
 }
 
-// Load reads and validates a spec file; the extension picks the format
-// (.json or .toml).
+// Load reads and validates a JSON spec file.
 func Load(path string) (*Spec, error) {
+	if ext := strings.ToLower(filepath.Ext(path)); ext != ".json" {
+		return nil, fmt.Errorf("clusterspec: unknown spec format %q (specs are .json)", ext)
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var s *Spec
-	switch ext := strings.ToLower(filepath.Ext(path)); ext {
-	case ".json":
-		s, err = ParseJSON(data)
-	case ".toml":
-		s, err = ParseTOML(data)
-	default:
-		return nil, fmt.Errorf("clusterspec: unknown spec format %q (want .json or .toml)", ext)
-	}
+	s, err := ParseJSON(data)
 	if err != nil {
 		return nil, fmt.Errorf("clusterspec: %s: %w", path, err)
 	}
@@ -103,156 +94,24 @@ func Load(path string) (*Spec, error) {
 	return s, nil
 }
 
-// ParseJSON parses (but does not validate) a JSON spec.
+// ParseJSON parses (but does not validate) a JSON spec. Unknown keys and
+// trailing data are errors.
 func ParseJSON(data []byte) (*Spec, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var s Spec
-	if err := json.Unmarshal(data, &s); err != nil {
+	if err := dec.Decode(&s); err != nil {
 		return nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("trailing data after the spec object")
 	}
 	return &s, nil
 }
 
-// ParseTOML parses (but does not validate) a spec in the supported TOML
-// subset: '#' comments, top-level `key = value` pairs, `[[node]]` array
-// tables, values either double-quoted strings or integers.
-func ParseTOML(data []byte) (*Spec, error) {
-	s := &Spec{}
-	var cur *Node
-	for i, raw := range strings.Split(string(data), "\n") {
-		lineNo := i + 1
-		line := strings.TrimSpace(stripComment(raw))
-		if line == "" {
-			continue
-		}
-		if line == "[[node]]" {
-			s.Nodes = append(s.Nodes, Node{})
-			cur = &s.Nodes[len(s.Nodes)-1]
-			continue
-		}
-		if strings.HasPrefix(line, "[") {
-			return nil, fmt.Errorf("line %d: unsupported table %s (only [[node]])", lineNo, line)
-		}
-		key, rawVal, found := strings.Cut(line, "=")
-		if !found {
-			return nil, fmt.Errorf("line %d: expected key = value", lineNo)
-		}
-		key = strings.TrimSpace(key)
-		str, num, isStr, err := parseValue(strings.TrimSpace(rawVal))
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %v", lineNo, err)
-		}
-		if err := assign(s, cur, key, str, num, isStr); err != nil {
-			return nil, fmt.Errorf("line %d: %v", lineNo, err)
-		}
-	}
-	return s, nil
-}
-
-// stripComment removes a trailing '#' comment, respecting double quotes.
-func stripComment(line string) string {
-	inQuote := false
-	for i := 0; i < len(line); i++ {
-		switch line[i] {
-		case '"':
-			// The subset has no escapes inside strings except what
-			// strconv.Unquote handles; a backslash-quote stays quoted.
-			if i == 0 || line[i-1] != '\\' {
-				inQuote = !inQuote
-			}
-		case '#':
-			if !inQuote {
-				return line[:i]
-			}
-		}
-	}
-	return line
-}
-
-// parseValue parses a TOML-subset value: quoted string or integer.
-func parseValue(v string) (str string, num int64, isStr bool, err error) {
-	if v == "" {
-		return "", 0, false, fmt.Errorf("missing value")
-	}
-	if v[0] == '"' {
-		s, err := strconv.Unquote(v)
-		if err != nil {
-			return "", 0, false, fmt.Errorf("bad string %s", v)
-		}
-		return s, 0, true, nil
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		return "", 0, false, fmt.Errorf("bad value %s (want \"string\" or integer)", v)
-	}
-	return "", n, false, nil
-}
-
-func assign(s *Spec, cur *Node, key, str string, num int64, isStr bool) error {
-	wantStr := func(dst *string) error {
-		if !isStr {
-			return fmt.Errorf("%s: want a quoted string", key)
-		}
-		*dst = str
-		return nil
-	}
-	wantInt := func(dst *int64) error {
-		if isStr {
-			return fmt.Errorf("%s: want an integer", key)
-		}
-		*dst = num
-		return nil
-	}
-	if cur != nil {
-		switch key {
-		case "id":
-			var v int64
-			if err := wantInt(&v); err != nil {
-				return err
-			}
-			cur.ID = int(v)
-			return nil
-		case "fabric":
-			return wantStr(&cur.Fabric)
-		case "client":
-			return wantStr(&cur.Client)
-		case "ops":
-			return wantStr(&cur.Ops)
-		case "data_dir":
-			return wantStr(&cur.DataDir)
-		}
-		return fmt.Errorf("unknown [[node]] key %q", key)
-	}
-	switch key {
-	case "name":
-		return wantStr(&s.Name)
-	case "shards":
-		var v int64
-		if err := wantInt(&v); err != nil {
-			return err
-		}
-		s.Shards = int(v)
-		return nil
-	case "geometry":
-		return wantStr(&s.Geometry)
-	case "fsync":
-		return wantStr(&s.Fsync)
-	case "commit_delay":
-		return wantStr(&s.CommitDelay)
-	case "ack_delay":
-		return wantStr(&s.AckDelay)
-	case "codec":
-		return wantStr(&s.Codec)
-	case "seed":
-		return wantInt(&s.Seed)
-	case "data_root":
-		return wantStr(&s.DataRoot)
-	}
-	return fmt.Errorf("unknown key %q", key)
-}
-
 // Validate checks the spec's internal consistency: at least one node,
 // unique positive IDs, required and parseable fabric addresses, no
-// address claimed twice, known geometry/fsync/codec, parseable delays.
+// address claimed twice, known geometry/fsync, parseable delays.
 func (s *Spec) Validate() error {
 	if len(s.Nodes) == 0 {
 		return fmt.Errorf("spec has no nodes")
@@ -269,11 +128,6 @@ func (s *Spec) Validate() error {
 	case "", "commit", "always", "none":
 	default:
 		return fmt.Errorf("unknown fsync policy %q (want commit, always, none)", s.Fsync)
-	}
-	switch s.Codec {
-	case "", "wire", "gob":
-	default:
-		return fmt.Errorf("unknown codec %q (want wire or gob)", s.Codec)
 	}
 	for _, field := range []struct{ name, v string }{
 		{"commit_delay", s.CommitDelay}, {"ack_delay", s.AckDelay},
@@ -415,9 +269,6 @@ func (s *Spec) Flags(id int) []string {
 	}
 	if s.Geometry != "" {
 		args = append(args, "-geometry", s.Geometry)
-	}
-	if s.Codec != "" {
-		args = append(args, "-codec", s.Codec)
 	}
 	if s.Seed != 0 {
 		args = append(args, "-seed", strconv.FormatInt(s.Seed, 10))

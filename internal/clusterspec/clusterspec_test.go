@@ -10,53 +10,40 @@ import (
 	"repro/internal/runtime"
 )
 
-const sampleTOML = `
-# Three durable replicas on localhost.
-name = "demo"
-shards = 4
-geometry = "grid"
-fsync = "commit"
-commit_delay = "200us"
-seed = 7
-data_root = "/tmp/marp-demo"
+// sampleJSON is a full spec: every top-level key and every node key.
+const sampleJSON = `{
+	"name": "demo",
+	"shards": 4,
+	"geometry": "grid",
+	"fsync": "commit",
+	"commit_delay": "200us",
+	"ack_delay": "500us",
+	"seed": 7,
+	"data_root": "/tmp/marp-demo",
+	"nodes": [
+		{"id": 1, "fabric": "127.0.0.1:7801", "client": "127.0.0.1:7707", "ops": "127.0.0.1:9101"},
+		{"id": 2, "fabric": "127.0.0.1:7802", "client": "127.0.0.1:7708", "ops": "127.0.0.1:9102"},
+		{"id": 3, "fabric": "127.0.0.1:7803", "client": "127.0.0.1:7709", "ops": "127.0.0.1:9103", "data_dir": "/tmp/elsewhere"}
+	]
+}`
 
-[[node]]
-id = 1
-fabric = "127.0.0.1:7801"
-client = "127.0.0.1:7707"
-ops = "127.0.0.1:9101"
-
-[[node]]
-id = 2
-fabric = "127.0.0.1:7802"   # trailing comment
-client = "127.0.0.1:7708"
-ops = "127.0.0.1:9102"
-
-[[node]]
-id = 3
-fabric = "127.0.0.1:7803"
-client = "127.0.0.1:7709"
-ops = "127.0.0.1:9103"
-data_dir = "/tmp/elsewhere"
-`
-
-func TestParseTOML(t *testing.T) {
-	s, err := ParseTOML([]byte(sampleTOML))
+func TestParseJSON(t *testing.T) {
+	s, err := ParseJSON([]byte(sampleJSON))
 	if err != nil {
-		t.Fatalf("ParseTOML: %v", err)
+		t.Fatalf("ParseJSON: %v", err)
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if s.Name != "demo" || s.Shards != 4 || s.Geometry != "grid" ||
-		s.CommitDelay != "200us" || s.Seed != 7 {
+	if s.Name != "demo" || s.Shards != 4 || s.Geometry != "grid" || s.Fsync != "commit" ||
+		s.CommitDelay != "200us" || s.AckDelay != "500us" || s.Seed != 7 {
 		t.Errorf("top-level fields wrong: %+v", s)
 	}
 	if len(s.Nodes) != 3 {
 		t.Fatalf("got %d nodes, want 3", len(s.Nodes))
 	}
-	if s.Nodes[1].Fabric != "127.0.0.1:7802" {
-		t.Errorf("node 2 fabric = %q (comment stripping broken?)", s.Nodes[1].Fabric)
+	if n := s.Nodes[1]; n.ID != 2 || n.Fabric != "127.0.0.1:7802" || n.Client != "127.0.0.1:7708" || n.Ops != "127.0.0.1:9102" {
+		t.Errorf("node 2 = %+v", n)
 	}
 	if got := s.PeerString(); got != "1=127.0.0.1:7801,2=127.0.0.1:7802,3=127.0.0.1:7803" {
 		t.Errorf("PeerString = %q", got)
@@ -69,19 +56,20 @@ func TestParseTOML(t *testing.T) {
 	}
 }
 
-func TestParseTOMLErrors(t *testing.T) {
+func TestParseJSONErrors(t *testing.T) {
 	cases := []struct{ name, in, wantErr string }{
-		{"bad table", "[cluster]\n", "unsupported table"},
-		{"no equals", "shards\n", "key = value"},
-		{"unknown key", `color = "red"`, "unknown key"},
-		{"unknown node key", "[[node]]\nport = 7\n", "unknown [[node]] key"},
-		{"bare string", "name = demo\n", "bad value"},
-		{"string for int", `shards = "4"`, "want an integer"},
-		{"int for string", "name = 3\n", "want a quoted string"},
-		{"missing value", "name =\n", "missing value"},
+		{"not an object", `[{"id": 1}]`, "cannot unmarshal array"},
+		{"no colon", `{"shards"}`, "invalid character"},
+		{"unknown key", `{"color": "red"}`, `unknown field "color"`},
+		{"unknown node key", `{"nodes": [{"port": 7}]}`, `unknown field "port"`},
+		{"bare string", `{"name": demo}`, "invalid character"},
+		{"string for int", `{"shards": "4"}`, "cannot unmarshal string"},
+		{"int for string", `{"name": 3}`, "cannot unmarshal number"},
+		{"missing value", `{"name": }`, "invalid character"},
+		{"trailing data", `{"name": "a"} {"name": "b"}`, "trailing data"},
 	}
 	for _, c := range cases {
-		if _, err := ParseTOML([]byte(c.in)); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+		if _, err := ParseJSON([]byte(c.in)); err == nil || !strings.Contains(err.Error(), c.wantErr) {
 			t.Errorf("%s: err = %v, want substring %q", c.name, err, c.wantErr)
 		}
 	}
@@ -115,7 +103,6 @@ func TestValidateErrors(t *testing.T) {
 		{"bad client", func(s *Spec) { s.Nodes[0].Client = "nope" }, "bad address"},
 		{"bad geometry", func(s *Spec) { s.Geometry = "ring" }, "geometry"},
 		{"bad fsync", func(s *Spec) { s.Fsync = "sometimes" }, "fsync"},
-		{"bad codec", func(s *Spec) { s.Codec = "xml" }, "codec"},
 		{"bad delay", func(s *Spec) { s.CommitDelay = "fast" }, "commit_delay"},
 		{"negative delay", func(s *Spec) { s.AckDelay = "-1ms" }, "negative"},
 	}
@@ -131,46 +118,47 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
+// TestLoadJSONAndTOML loads the JSON form and checks that every other
+// input is refused by Load: TOML (no longer a spec format), other
+// extensions, missing files, and JSON with misspelled or retired keys,
+// which a lenient decoder would silently drop.
 func TestLoadJSONAndTOML(t *testing.T) {
 	dir := t.TempDir()
-	tomlPath := filepath.Join(dir, "c.toml")
-	if err := os.WriteFile(tomlPath, []byte(sampleTOML), 0o644); err != nil {
-		t.Fatal(err)
+	write := func(name, content string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
-	fromTOML, err := Load(tomlPath)
-	if err != nil {
-		t.Fatalf("Load toml: %v", err)
-	}
-	jsonPath := filepath.Join(dir, "c.json")
-	if err := os.WriteFile(jsonPath, []byte(`{
-		"name": "demo", "shards": 4, "geometry": "grid", "fsync": "commit",
-		"commit_delay": "200us", "seed": 7, "data_root": "/tmp/marp-demo",
-		"nodes": [
-			{"id": 1, "fabric": "127.0.0.1:7801", "client": "127.0.0.1:7707", "ops": "127.0.0.1:9101"},
-			{"id": 2, "fabric": "127.0.0.1:7802", "client": "127.0.0.1:7708", "ops": "127.0.0.1:9102"},
-			{"id": 3, "fabric": "127.0.0.1:7803", "client": "127.0.0.1:7709", "ops": "127.0.0.1:9103", "data_dir": "/tmp/elsewhere"}
-		]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fromJSON, err := Load(jsonPath)
+	got, err := Load(write("c.json", sampleJSON))
 	if err != nil {
 		t.Fatalf("Load json: %v", err)
 	}
-	if !reflect.DeepEqual(fromTOML, fromJSON) {
-		t.Errorf("TOML and JSON forms disagree:\ntoml: %+v\njson: %+v", fromTOML, fromJSON)
+	want, err := ParseJSON([]byte(sampleJSON))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Load(filepath.Join(dir, "missing.toml")); err == nil {
-		t.Error("Load of missing file succeeded")
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Load and ParseJSON disagree:\nload:  %+v\nparse: %+v", got, want)
 	}
-	badPath := filepath.Join(dir, "c.yaml")
-	os.WriteFile(badPath, []byte("x"), 0o644)
-	if _, err := Load(badPath); err == nil || !strings.Contains(err.Error(), "unknown spec format") {
-		t.Errorf("Load .yaml err = %v", err)
+	for _, c := range []struct{ name, path, wantErr string }{
+		{"toml", write("c.toml", "[[node]]\nid = 1\nfabric = \"127.0.0.1:1\"\n"), ".json"},
+		{"yaml", write("c.yaml", "x"), "unknown spec format"},
+		{"missing file", filepath.Join(dir, "missing.json"), "no such file"},
+		{"top-level typo", write("shard.json", `{"shard": 4, "nodes": [{"id": 1, "fabric": "127.0.0.1:1"}]}`), `unknown field "shard"`},
+		{"node typo", write("clinet.json", `{"nodes": [{"id": 1, "fabric": "127.0.0.1:1", "clinet": "x"}]}`), `unknown field "clinet"`},
+		{"retired codec key", write("codec.json", `{"codec": "gob", "nodes": [{"id": 1, "fabric": "127.0.0.1:1"}]}`), `unknown field "codec"`},
+		{"invalid spec", write("dup.json", `{"nodes": [{"id": 1, "fabric": "127.0.0.1:1"}, {"id": 1, "fabric": "127.0.0.1:2"}]}`), "duplicate node id"},
+	} {
+		if _, err := Load(c.path); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%s: Load err = %v, want substring %q", c.name, err, c.wantErr)
+		}
 	}
 }
 
 func TestFlags(t *testing.T) {
-	s, err := ParseTOML([]byte(sampleTOML))
+	s, err := ParseJSON([]byte(sampleJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,6 +174,7 @@ func TestFlags(t *testing.T) {
 		"-geometry", "grid",
 		"-seed", "7",
 		"-commit-delay", "200us",
+		"-ack-delay", "500us",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Flags(2) =\n%v\nwant\n%v", got, want)

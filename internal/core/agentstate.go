@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 
@@ -134,35 +132,21 @@ func Thaw(c *Cluster, st WireState) *UpdateAgent {
 }
 
 // Encode serializes the state with the hand-rolled wire codec, returning
-// the wire bytes. The leading magic byte distinguishes the format from gob
-// so DecodeWireState accepts both.
+// the wire bytes behind a leading magic byte.
 func (st WireState) Encode() ([]byte, error) {
 	buf := make([]byte, 1, 256)
 	buf[0] = wireStateMagic
 	return AppendWireState(buf, &st), nil
 }
 
-// EncodeGob serializes the state with encoding/gob — the pre-wire-codec
-// format, kept for the A9 codec ablation and the comparison benchmarks.
-func (st WireState) EncodeGob() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("core: encoding agent state: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeWireState deserializes wire bytes produced by Encode or EncodeGob,
-// sniffing the leading byte: wireStateMagic never begins a gob stream.
+// DecodeWireState deserializes wire bytes produced by Encode. Input that
+// does not start with the magic byte is refused.
 func DecodeWireState(data []byte) (WireState, error) {
-	var st WireState
-	if len(data) > 0 && data[0] == wireStateMagic {
-		if err := DecodeWireStateInto(&st, wire.NewReader(data[1:])); err != nil {
-			return WireState{}, fmt.Errorf("core: decoding agent state: %w", err)
-		}
-		return st, nil
+	if len(data) == 0 || data[0] != wireStateMagic {
+		return WireState{}, fmt.Errorf("core: decoding agent state: missing wire-state magic")
 	}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+	var st WireState
+	if err := DecodeWireStateInto(&st, wire.NewReader(data[1:])); err != nil {
 		return WireState{}, fmt.Errorf("core: decoding agent state: %w", err)
 	}
 	return st, nil
@@ -171,11 +155,6 @@ func DecodeWireState(data []byte) (WireState, error) {
 // MarshalWire implements agent.WireBehavior: over a serializing fabric the
 // agent travels as its encoded WireState, and the destination cluster's
 // thawWire hook rebinds it (the same freeze/thaw path regeneration uses).
-// Config.GobAgentState forces the legacy gob encoding — the A9 baseline.
 func (a *UpdateAgent) MarshalWire() ([]byte, error) {
-	st := a.Freeze()
-	if a.c.cfg.GobAgentState {
-		return st.EncodeGob()
-	}
-	return st.Encode()
+	return a.Freeze().Encode()
 }

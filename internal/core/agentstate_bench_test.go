@@ -13,7 +13,9 @@ import (
 // partially filled locking table over a handful of shards, some gone
 // knowledge — the shape the live fabric encodes on every hop.
 func benchState() WireState {
-	id := func(h, s int) agent.ID { return agent.ID{Home: runtime.NodeID(h), Born: int64(1000 * s), Seq: uint64(s)} }
+	id := func(h, s int) agent.ID {
+		return agent.ID{Home: runtime.NodeID(h), Born: int64(1000 * s), Seq: uint64(s)}
+	}
 	snap := func(server, shard, version int) replica.QueueSnapshot {
 		return replica.QueueSnapshot{
 			Server: runtime.NodeID(server), Shard: shard, Epoch: 1,
@@ -80,40 +82,5 @@ func BenchmarkDecodeWireState(b *testing.B) {
 		}
 	}); allocs != 0 {
 		b.Fatalf("decode allocates %.1f allocs/op, want 0", allocs)
-	}
-}
-
-// BenchmarkEncodeWireStateGob is the ablation twin: the gob encoding of the
-// same state (the PR 6 migration format).
-func BenchmarkEncodeWireStateGob(b *testing.B) {
-	st := benchState()
-	data, err := st.EncodeGob()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := st.EncodeGob(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDecodeWireStateGob decodes the gob twin.
-func BenchmarkDecodeWireStateGob(b *testing.B) {
-	st := benchState()
-	data, err := st.EncodeGob()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeWireState(data); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
 	"reflect"
 	"testing"
 	"time"
@@ -31,7 +33,7 @@ func captureTravellingAgent(t *testing.T, c *testCluster) *UpdateAgent {
 	return nil
 }
 
-func TestAgentStateGobRoundTrip(t *testing.T) {
+func TestAgentStateWireRoundTrip(t *testing.T) {
 	c := newTestCluster(t, Config{N: 5}, simEnv{seed: 71})
 	ua := captureTravellingAgent(t, c)
 	st := ua.Freeze()
@@ -47,8 +49,8 @@ func TestAgentStateGobRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// gob canonically collapses empty slices to nil, so compare by
-	// re-encoding rather than structural equality.
+	// Empty and nil slices encode alike, so compare by re-encoding rather
+	// than structural equality.
 	data2, err := back.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -59,6 +61,24 @@ func TestAgentStateGobRoundTrip(t *testing.T) {
 	if len(back.Snapshots) != len(st.Snapshots) || back.Visits != st.Visits || len(back.USL) != len(st.USL) {
 		t.Fatalf("content differs: %+v vs %+v", st, back)
 	}
+	// Input without the wire-state magic byte is refused, not guessed at.
+	for _, bad := range [][]byte{nil, {}, data[1:], append([]byte{0x00}, data[1:]...)} {
+		if _, err := DecodeWireState(bad); err == nil {
+			t.Errorf("DecodeWireState(% x...) accepted input without the magic byte", bad[:min(len(bad), 4)])
+		}
+	}
+}
+
+// encodeGob is the test-only reference encoding of an agent state: the
+// DES byte model (WireSize) was calibrated against encoding/gob, which the
+// program itself no longer speaks.
+func encodeGob(t *testing.T, st WireState) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func TestThawPreservesProtocolState(t *testing.T) {
@@ -105,10 +125,7 @@ func TestModelledWireSizeTracksRealEncoding(t *testing.T) {
 	c := newTestCluster(t, Config{N: 5}, simEnv{seed: 75})
 	ua := captureTravellingAgent(t, c)
 	st := ua.Freeze()
-	gobData, err := st.EncodeGob()
-	if err != nil {
-		t.Fatal(err)
-	}
+	gobData := encodeGob(t, st)
 	modelled := ua.WireSize()
 	real := len(gobData)
 	ratio := float64(real) / float64(modelled)

@@ -93,11 +93,6 @@ type Config struct {
 	// MigrateAckMax bounds buffered acks per flush (default 32). Only
 	// meaningful with MigrateAckDelay.
 	MigrateAckMax int
-	// GobAgentState forces migrating agents to serialize their WireState
-	// with encoding/gob instead of the wire codec — the A9 codec-ablation
-	// baseline.
-	GobAgentState bool
-
 	// DisableInfoSharing turns off server-mediated locking-information
 	// exchange (ablation A1).
 	DisableInfoSharing bool
@@ -249,8 +244,6 @@ func (*OutcomeMsg) Kind() string { return "outcome" }
 
 // WireSize is the modelled size of an outcome report.
 func (*OutcomeMsg) WireSize() int { return 96 }
-
-func init() { runtime.RegisterWireType(&OutcomeMsg{}) }
 
 // NewCluster wires a cluster per cfg onto the given engine and fabric.
 func NewCluster(eng runtime.Engine, fab runtime.Fabric, cfg Config) (*Cluster, error) {

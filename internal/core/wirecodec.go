@@ -11,11 +11,8 @@ import (
 // Tags are part of the wire format: never renumber.
 const tagOutcomeMsg = 30
 
-// wireStateMagic leads a wire-codec-encoded WireState. Gob streams can
-// never start with this byte (a gob stream opens with a type definition
-// whose leading varint byte is small), so DecodeWireState can sniff the
-// format and fall back to gob — old state in flight or on disk stays
-// readable.
+// wireStateMagic leads a wire-codec-encoded WireState; DecodeWireState
+// refuses input that does not start with it.
 const wireStateMagic = 0xA7
 
 func init() {
@@ -61,8 +58,8 @@ func init() {
 }
 
 // AppendWireState appends st in wire-codec form (after the magic byte the
-// caller writes). It is the allocation-free counterpart of gob encoding on
-// the migration hot path.
+// caller writes). It allocates nothing beyond growing b, which keeps the
+// migration hot path allocation-free.
 func AppendWireState(b []byte, st *WireState) []byte {
 	b = wire.AppendUvarint(b, uint64(len(st.Requests)))
 	for i := range st.Requests {

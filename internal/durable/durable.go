@@ -33,16 +33,17 @@ import (
 )
 
 // Record types. Values are part of the on-disk format: never renumber.
+// Type 5 was the unprefixed pre-sharding lock record; it is retired and
+// must not be reused.
 const (
 	recApply     byte = 1 // store.Update applied committed (commit barrier)
 	recPrepare   byte = 2 // store.Update staged tentatively
 	recCommitTxn byte = 3 // tentative transaction finalized (commit barrier)
 	recAbortTxn  byte = 4 // tentative transaction discarded
-	recLock      byte = 5 // full locking-state snapshot (LL, grant, versions)
 	recGone      byte = 6 // agent added to the Updated List / gone set
 	recRelNext   byte = 7 // reliable-delivery send-sequence high-water mark
 	recRelSeen   byte = 8 // reliable-delivery first-seen frame (dedup state)
-	recLockS     byte = 9 // locking-state snapshot of a shard > 0 (shard-prefixed)
+	recLock      byte = 9 // one shard's locking state: shard, then LL, grant, versions
 )
 
 // LockState is the serializable locking state of a replica: the Locking
@@ -57,22 +58,19 @@ type LockState struct {
 	GrantAttempt int
 }
 
-// State is everything a recovering replica restores: the data store, the
-// locking state, the gone set (Updated List), and the reliable-delivery
-// endpoint state (send counter and per-sender dedup sets).
+// State is everything a recovering replica restores: the data store and
+// locking state of every shard, the gone set (Updated List), and the
+// reliable-delivery endpoint state (send counter and per-sender dedup
+// sets).
 type State struct {
-	Store      store.State
-	Lock       LockState
+	// Stores and Locks hold one entry per shard, indexed by shard (the
+	// shard-isolation invariant: every shard journals and restores
+	// independently). Open fills both for every one of Options.Shards.
+	Stores     []store.State
+	Locks      []LockState
 	Gone       []agent.ID
 	RelNextSeq uint64
 	RelSeen    map[runtime.NodeID][]uint64
-	// Sharded replicas (shard-isolation invariant: every shard journals
-	// and restores independently) carry one extra store/lock pair per
-	// shard beyond the first: index i holds shard i+1. Empty on unsharded
-	// replicas, keeping their snapshots byte-identical to the pre-sharding
-	// format.
-	ExtraStores []store.State
-	ExtraLocks  []LockState
 }
 
 // BirthFloor returns the largest timestamp the state remembers — agent
@@ -90,15 +88,13 @@ func (st *State) BirthFloor() int64 {
 	for _, id := range st.Gone {
 		bump(id.Born)
 	}
-	locks := append([]LockState{st.Lock}, st.ExtraLocks...)
-	for _, ls := range locks {
+	for _, ls := range st.Locks {
 		for _, id := range ls.LL {
 			bump(id.Born)
 		}
 		bump(ls.Grant.Born)
 	}
-	stores := append([]store.State{st.Store}, st.ExtraStores...)
-	for _, ss := range stores {
+	for _, ss := range st.Stores {
 		for _, u := range ss.Log {
 			bump(u.Stamp)
 		}
@@ -205,8 +201,7 @@ func Open(b disk.Backend, opts Options) (*Journal, *State, error) {
 // records journaled after it, in order. Records were only ever written for
 // operations that succeeded, so any replay error is corruption. Store
 // records route to their key's shard; lock records carry their shard
-// explicitly (shard 0 uses the legacy record type, so unsharded logs are
-// unchanged on disk).
+// explicitly.
 func replay(snap []byte, records []wal.Record, shards int) (*State, error) {
 	st := &State{RelSeen: make(map[runtime.NodeID][]uint64)}
 	if snap != nil {
@@ -216,18 +211,15 @@ func replay(snap []byte, records []wal.Record, shards int) (*State, error) {
 		}
 		st = s
 	}
-	if shards > 1 {
-		for len(st.ExtraStores) < shards-1 {
-			st.ExtraStores = append(st.ExtraStores, store.State{})
-		}
-		for len(st.ExtraLocks) < shards-1 {
-			st.ExtraLocks = append(st.ExtraLocks, LockState{})
-		}
+	for len(st.Stores) < shards {
+		st.Stores = append(st.Stores, store.State{})
+	}
+	for len(st.Locks) < shards {
+		st.Locks = append(st.Locks, LockState{})
 	}
 	mems := make([]*store.Store, shards)
-	mems[0] = store.FromState(st.Store)
-	for i := 1; i < shards; i++ {
-		mems[i] = store.FromState(st.ExtraStores[i-1])
+	for i := range mems {
+		mems[i] = store.FromState(st.Stores[i])
 	}
 	seen := make(map[runtime.NodeID]map[uint64]bool, len(st.RelSeen))
 	for from, seqs := range st.RelSeen {
@@ -274,17 +266,12 @@ func replay(snap []byte, records []wal.Record, shards int) (*State, error) {
 				}
 			}
 		case recLock:
-			st.Lock, err = decodeLock(rec.Data)
-		case recLockS:
 			var shrd int
 			var ls LockState
-			if shrd, ls, err = decodeLockShard(rec.Data); err == nil {
-				switch {
-				case shrd == 0:
-					st.Lock = ls
-				case shrd-1 < len(st.ExtraLocks):
-					st.ExtraLocks[shrd-1] = ls
-				default:
+			if shrd, ls, err = decodeLock(rec.Data); err == nil {
+				if shrd < len(st.Locks) {
+					st.Locks[shrd] = ls
+				} else {
 					err = fmt.Errorf("lock record for shard %d beyond %d shards", shrd, shards)
 				}
 			}
@@ -316,9 +303,8 @@ func replay(snap []byte, records []wal.Record, shards int) (*State, error) {
 			return nil, fmt.Errorf("durable: replaying record %d (type %d): %w", i, rec.Type, err)
 		}
 	}
-	st.Store = mems[0].State()
-	for i := 1; i < shards; i++ {
-		st.ExtraStores[i-1] = mems[i].State()
+	for i, mem := range mems {
+		st.Stores[i] = mem.State()
 	}
 	return st, nil
 }
@@ -374,19 +360,11 @@ func (j *Journal) Applied(u store.Update) { j.append(recApply, encodeUpdate(u), 
 // Aborted implements store.Journal.
 func (j *Journal) Aborted(txnID string) { j.append(recAbortTxn, encodeString(txnID), false) }
 
-// LogLock journals the replica's full locking state after a mutation.
+// LogLock journals one shard's full locking state after a mutation.
 // barrier marks grant transitions — the mutations whose loss could
 // re-grant a lock the replica already released.
-func (j *Journal) LogLock(ls LockState, barrier bool) { j.append(recLock, encodeLock(ls), barrier) }
-
-// LogLockShard journals one shard's locking state. Shard 0 writes the
-// legacy record type, so an unsharded replica's log bytes are unchanged.
-func (j *Journal) LogLockShard(shrd int, ls LockState, barrier bool) {
-	if shrd == 0 {
-		j.LogLock(ls, barrier)
-		return
-	}
-	j.append(recLockS, encodeLockShard(shrd, ls), barrier)
+func (j *Journal) LogLock(shrd int, ls LockState, barrier bool) {
+	j.append(recLock, encodeLock(shrd, ls), barrier)
 }
 
 // LogGone journals one agent joining the gone set (the Updated List).
@@ -518,7 +496,17 @@ func decodeAgentID(b []byte) (agent.ID, error) {
 	return id, d.finish()
 }
 
-func encodeLock(ls LockState) []byte { return appendLock(nil, ls) }
+func encodeLock(shrd int, ls LockState) []byte {
+	b := binary.AppendUvarint(nil, uint64(shrd))
+	return appendLock(b, ls)
+}
+
+func decodeLock(b []byte) (int, LockState, error) {
+	d := &decoder{b: b}
+	shrd := int(d.uvarint())
+	ls := d.lock()
+	return shrd, ls, d.finish()
+}
 
 func appendLock(b []byte, ls LockState) []byte {
 	b = binary.AppendUvarint(b, ls.Epoch)
@@ -531,24 +519,6 @@ func appendLock(b []byte, ls LockState) []byte {
 		b = appendAgentID(b, id)
 	}
 	return b
-}
-
-func decodeLock(b []byte) (LockState, error) {
-	d := &decoder{b: b}
-	ls := d.lock()
-	return ls, d.finish()
-}
-
-func encodeLockShard(shrd int, ls LockState) []byte {
-	b := binary.AppendUvarint(nil, uint64(shrd))
-	return appendLock(b, ls)
-}
-
-func decodeLockShard(b []byte) (int, LockState, error) {
-	d := &decoder{b: b}
-	shrd := int(d.uvarint())
-	ls := d.lock()
-	return shrd, ls, d.finish()
 }
 
 func encodeRelSeen(from runtime.NodeID, seq uint64) []byte {
@@ -576,9 +546,14 @@ func appendStoreState(b []byte, ss store.State) []byte {
 }
 
 func encodeState(st *State) []byte {
-	var b []byte
-	b = appendStoreState(b, st.Store)
-	b = appendLock(b, st.Lock)
+	b := binary.AppendUvarint(nil, uint64(len(st.Stores)))
+	for _, ss := range st.Stores {
+		b = appendStoreState(b, ss)
+	}
+	b = binary.AppendUvarint(b, uint64(len(st.Locks)))
+	for _, ls := range st.Locks {
+		b = appendLock(b, ls)
+	}
 	b = binary.AppendUvarint(b, uint64(len(st.Gone)))
 	for _, id := range st.Gone {
 		b = appendAgentID(b, id)
@@ -599,27 +574,18 @@ func encodeState(st *State) []byte {
 			b = binary.AppendUvarint(b, q)
 		}
 	}
-	// Shard extension, appended only when present: the unsharded snapshot
-	// encoding is bit-for-bit the pre-sharding format, and the decoder
-	// reads the extension iff bytes remain.
-	if len(st.ExtraStores) > 0 || len(st.ExtraLocks) > 0 {
-		b = binary.AppendUvarint(b, uint64(len(st.ExtraStores)))
-		for _, ss := range st.ExtraStores {
-			b = appendStoreState(b, ss)
-		}
-		b = binary.AppendUvarint(b, uint64(len(st.ExtraLocks)))
-		for _, ls := range st.ExtraLocks {
-			b = appendLock(b, ls)
-		}
-	}
 	return b
 }
 
 func decodeState(b []byte) (*State, error) {
 	d := &decoder{b: b}
 	st := &State{RelSeen: make(map[runtime.NodeID][]uint64)}
-	st.Store = d.storeState()
-	st.Lock = d.lock()
+	for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
+		st.Stores = append(st.Stores, d.storeState())
+	}
+	for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
+		st.Locks = append(st.Locks, d.lock())
+	}
 	for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
 		st.Gone = append(st.Gone, d.agentID())
 	}
@@ -628,14 +594,6 @@ func decodeState(b []byte) (*State, error) {
 		from := runtime.NodeID(d.varint())
 		for k, m := 0, int(d.uvarint()); k < m && d.err == nil; k++ {
 			st.RelSeen[from] = append(st.RelSeen[from], d.uvarint())
-		}
-	}
-	if d.err == nil && len(d.b) > 0 { // shard extension present
-		for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
-			st.ExtraStores = append(st.ExtraStores, d.storeState())
-		}
-		for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
-			st.ExtraLocks = append(st.ExtraLocks, d.lock())
 		}
 	}
 	if err := d.finish(); err != nil {

@@ -59,7 +59,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		LL:    []agent.ID{aid(1, 1), aid(2, 1)},
 		Grant: aid(1, 1), GrantAttempt: 3,
 	}
-	j.LogLock(ls, true)
+	j.LogLock(0, ls, true)
 	j.LogGone(aid(3, 1))
 	j.NextSeq(1)
 	j.Seen(4, 11)
@@ -74,19 +74,19 @@ func TestJournalRoundTrip(t *testing.T) {
 	if st2 == nil {
 		t.Fatal("reopen returned nil state")
 	}
-	if got := len(st2.Store.Log); got != 6 {
+	if got := len(st2.Stores[0].Log); got != 6 {
 		t.Fatalf("replayed %d committed updates, want 6", got)
 	}
-	for i, u := range st2.Store.Log {
+	for i, u := range st2.Stores[0].Log {
 		if u != upd(i+1) {
 			t.Fatalf("log[%d] = %+v, want %+v", i, u, upd(i+1))
 		}
 	}
-	if len(st2.Store.Tentative) != 1 || st2.Store.Tentative[0] != upd(7) {
-		t.Fatalf("tentative = %+v, want [upd(7)]", st2.Store.Tentative)
+	if len(st2.Stores[0].Tentative) != 1 || st2.Stores[0].Tentative[0] != upd(7) {
+		t.Fatalf("tentative = %+v, want [upd(7)]", st2.Stores[0].Tentative)
 	}
-	if !reflect.DeepEqual(st2.Lock, ls) {
-		t.Fatalf("lock = %+v, want %+v", st2.Lock, ls)
+	if !reflect.DeepEqual(st2.Locks, []LockState{ls}) {
+		t.Fatalf("locks = %+v, want [%+v]", st2.Locks, ls)
 	}
 	if len(st2.Gone) != 1 || st2.Gone[0] != aid(3, 1) {
 		t.Fatalf("gone = %+v", st2.Gone)
@@ -111,8 +111,8 @@ func TestCompactionSupersedesRecords(t *testing.T) {
 		s.ApplyCommitted(upd(i))
 	}
 	j.AddSource(func(ds *State) {
-		ds.Store = s.State()
-		ds.Lock = LockState{Epoch: 1}
+		ds.Stores = []store.State{s.State()}
+		ds.Locks = []LockState{{Epoch: 1}}
 	})
 	if err := j.Compact(); err != nil {
 		t.Fatal(err)
@@ -126,10 +126,10 @@ func TestCompactionSupersedesRecords(t *testing.T) {
 	if err != nil || st == nil {
 		t.Fatalf("reopen: %v, %v", err, st)
 	}
-	if len(st.Store.Log) != 12 || st.Lock.Epoch != 1 {
-		t.Fatalf("after compaction: %d updates, epoch %d", len(st.Store.Log), st.Lock.Epoch)
+	if len(st.Stores[0].Log) != 12 || st.Locks[0].Epoch != 1 {
+		t.Fatalf("after compaction: %d updates, epoch %d", len(st.Stores[0].Log), st.Locks[0].Epoch)
 	}
-	rebuilt := store.FromState(st.Store)
+	rebuilt := store.FromState(st.Stores[0])
 	if rebuilt.LastSeq() != 12 {
 		t.Fatalf("rebuilt LastSeq = %d", rebuilt.LastSeq())
 	}
@@ -143,7 +143,7 @@ func TestMaybeCompactTriggersAtThreshold(t *testing.T) {
 	}
 	s := store.New()
 	s.SetJournal(j)
-	j.AddSource(func(ds *State) { ds.Store = s.State() })
+	j.AddSource(func(ds *State) { ds.Stores = []store.State{s.State()} })
 	for i := 1; i <= 20; i++ {
 		s.ApplyCommitted(upd(i))
 		j.MaybeCompact()
@@ -153,8 +153,8 @@ func TestMaybeCompactTriggersAtThreshold(t *testing.T) {
 	}
 	j.Close()
 	_, st, err := Open(m, Options{})
-	if err != nil || len(st.Store.Log) != 20 {
-		t.Fatalf("reopen: %v, %d updates", err, len(st.Store.Log))
+	if err != nil || len(st.Stores[0].Log) != 20 {
+		t.Fatalf("reopen: %v, %d updates", err, len(st.Stores[0].Log))
 	}
 }
 
@@ -227,6 +227,19 @@ func TestReplayFailsOnForeignRecord(t *testing.T) {
 	if _, _, err := Open(m, Options{}); err == nil {
 		t.Fatal("Open replayed a record of unknown type")
 	}
+
+	// A lock record naming a shard the replica does not have is foreign
+	// too: every lock record carries its shard.
+	m = disk.NewMem()
+	j, _, _ := Open(m, Options{Policy: wal.PolicyAlways, Shards: 4})
+	j.LogLock(3, LockState{Epoch: 1}, true)
+	j.Close()
+	if _, st, err := Open(m, Options{Shards: 4}); err != nil || st.Locks[3].Epoch != 1 {
+		t.Fatalf("4-shard reopen: %v, %+v", err, st)
+	}
+	if _, _, err := Open(m, Options{Shards: 2}); err == nil {
+		t.Fatal("Open replayed a lock record for shard 3 into 2 shards")
+	}
 }
 
 // TestQuickCrashPointReplaysCommitPrefix is the paper-facing durability
@@ -278,7 +291,7 @@ func TestQuickCrashPointReplaysCommitPrefix(t *testing.T) {
 		if st == nil {
 			return true // truncated to nothing: the empty prefix
 		}
-		rebuilt := store.FromState(st.Store)
+		rebuilt := store.FromState(st.Stores[0])
 		last := rebuilt.LastSeq()
 		if last > commits {
 			return false
@@ -311,9 +324,9 @@ func TestEncodingRejectsTrailingBytes(t *testing.T) {
 
 func TestStateEncodingDeterministic(t *testing.T) {
 	st := &State{
-		Store: store.State{Log: []store.Update{upd(1), upd(2)}},
-		Lock:  LockState{Epoch: 3, LL: []agent.ID{aid(2, 4)}},
-		Gone:  []agent.ID{aid(1, 1)},
+		Stores: []store.State{{Log: []store.Update{upd(1), upd(2)}}, {Log: []store.Update{upd(3)}}},
+		Locks:  []LockState{{Epoch: 3, LL: []agent.ID{aid(2, 4)}}, {Epoch: 3, Grant: aid(1, 2)}},
+		Gone:   []agent.ID{aid(1, 1)},
 		RelSeen: map[runtime.NodeID][]uint64{
 			5: {9, 2, 7},
 			2: {1},
@@ -332,7 +345,7 @@ func TestStateEncodingDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(got.RelSeen[5], []uint64{2, 7, 9}) {
 		t.Fatalf("RelSeen sorted = %v", got.RelSeen[5])
 	}
-	if got.Lock.Epoch != 3 || len(got.Store.Log) != 2 || got.RelNextSeq != 64 {
+	if !reflect.DeepEqual(got.Stores, st.Stores) || !reflect.DeepEqual(got.Locks, st.Locks) || got.RelNextSeq != 64 {
 		t.Fatalf("round trip: %+v", got)
 	}
 }

@@ -18,13 +18,14 @@ import (
 
 // A9 measures the live path's raw speed: committed updates per wall-clock
 // second on real TCP nodes with the WAL at fsync=commit against a modelled
-// NVMe device, ablated across the three live-path optimisations this repo
-// grew on top of the seed protocol — the zero-alloc wire codec (vs the
-// legacy gob fabric), pipelined hop-sequenced migration acks (vs one ack
-// message per migration), and WAL group commit (vs one fsync per commit
-// barrier). The workload is deliberately low-contention (hash-sharded keys,
-// deep backlog) so the table isolates the mechanics under test rather than
-// locking-list queueing, which A8 already characterises.
+// NVMe device, ablated across the two live-path optimisations this repo
+// grew on top of the seed protocol that can still be switched off —
+// pipelined hop-sequenced migration acks (vs one ack message per
+// migration) and WAL group commit (vs one fsync per commit barrier). Every
+// row speaks the zero-alloc wire codec. The workload is deliberately
+// low-contention (hash-sharded keys, deep backlog) so the table isolates
+// the mechanics under test rather than locking-list queueing, which A8
+// already characterises.
 
 const (
 	// a9Servers keeps the cluster small enough that three single-threaded
@@ -49,11 +50,10 @@ var (
 	a9Backoff = 10 * time.Millisecond
 )
 
-// a9Knobs is one ablation row: which of the three optimisations are on.
+// a9Knobs is one ablation row: which of the optimisations are on. "all
+// three" counts the always-on wire codec.
 type a9Knobs struct {
 	label       string
-	codec       string        // fabric framing: "gob" or "wire"
-	gobState    bool          // force gob agent-state serialization too
 	ackDelay    time.Duration // migration ack aggregation window (0 = legacy)
 	commitDelay time.Duration // WAL group-commit window (0 = fsync per barrier)
 }
@@ -68,11 +68,10 @@ func a9Rows() []a9Knobs {
 	// workload (commit-barrier latency, not fsync count, then dominates).
 	const grp = 100 * time.Microsecond
 	return []a9Knobs{
-		{label: "baseline (gob, per-ack, per-commit fsync)", codec: "gob", gobState: true},
-		{label: "+wire codec", codec: "wire"},
-		{label: "+pipelined acks", codec: "wire", ackDelay: ack},
-		{label: "+group commit", codec: "wire", commitDelay: grp},
-		{label: "all three", codec: "wire", ackDelay: ack, commitDelay: grp},
+		{label: "baseline (wire, per-ack, per-commit fsync)"},
+		{label: "+pipelined acks", ackDelay: ack},
+		{label: "+group commit", commitDelay: grp},
+		{label: "all three", ackDelay: ack, commitDelay: grp},
 	}
 }
 
@@ -89,10 +88,10 @@ type a9Cell struct {
 // LiveSpeed runs the A9 experiment: the ablation table over real TCP nodes.
 //
 // The variants are interleaved within each seed (seed-major, variant-minor)
-// rather than run as five consecutive blocks: wall-clock cells on a shared
+// rather than run as consecutive blocks: wall-clock cells on a shared
 // machine drift — background reclaim, whatever ran before this experiment,
 // host noise — and block order would hand each variant a different slice of
-// that drift. Interleaving spreads any slow patch across all five rows, so
+// that drift. Interleaving spreads any slow patch across every row, so
 // the speedup column measures the knobs, not the weather.
 func LiveSpeed(o FigureOptions) ([]*metrics.Table, error) {
 	o.fill()
@@ -105,9 +104,9 @@ func LiveSpeed(o FigureOptions) ([]*metrics.Table, error) {
 		seedNote = fmt.Sprintf("mean of %d interleaved seeds", seeds)
 	}
 	tbl := &metrics.Table{
-		Title: "Ablation A9: live-path raw speed — codec x ack pipelining x group commit (wall clock)",
+		Title: "Ablation A9: live-path raw speed — ack pipelining x group commit (wall clock)",
 		Note: fmt.Sprintf("N=%d in-process replicas over loopback TCP, fsync=commit on a modelled %v-fsync NVMe, "+
-			"%d shards, %d keys, %d requests/server, %s; speedup is commits/s over the gob stop-and-wait baseline",
+			"%d shards, %d keys, %d requests/server, %s; speedup is commits/s over the stop-and-wait baseline",
 			a9Servers, a7SyncNVMe, a9Shards, a9Keys, reqs, seedNote),
 		Columns: []string{"variant", "commits/s", "speedup", "ATT (ms)", "fsyncs/commit", "group batches", "MB sent"},
 	}
@@ -189,13 +188,11 @@ func liveSpeedCell(seed int64, k a9Knobs, reqs int) (a9Cell, error) {
 			Self:  runtime.NodeID(i),
 			Addrs: addrs,
 			Seed:  seed + int64(i),
-			Codec: k.codec,
 			Cluster: core.Config{
 				Shards:           a9Shards,
 				MigrationTimeout: migration, ClaimTimeout: claim,
 				RetryInterval: retry, RetryBackoff: backoff,
 				MigrateAckDelay: k.ackDelay,
-				GobAgentState:   k.gobState,
 				Durability:      dur,
 			},
 		})

@@ -323,7 +323,7 @@ func runReplayCell(k int) ([]string, error) {
 		return nil, err
 	}
 	defer j2.Close()
-	if st == nil || len(st.Store.Log) != k {
+	if st == nil || len(st.Stores[0].Log) != k {
 		return nil, fmt.Errorf("replayed %v, want %d updates", st, k)
 	}
 	ms := elapsed.Seconds() * 1000

@@ -12,9 +12,6 @@ const tagRecon = 50
 
 func init() {
 	wire.Register(tagRecon, &Recon{}, encRecon, decRecon)
-	// The live fabric's gob path (agent WireState nesting) also needs the
-	// concrete type known.
-	runtime.RegisterWireType(&Recon{})
 }
 
 func appendAction(b []byte, a Action) []byte {

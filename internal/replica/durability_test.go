@@ -188,7 +188,7 @@ func TestGracefulCloseThenReopen(t *testing.T) {
 		t.Fatalf("reopen: %v, %v", err, st)
 	}
 	defer j.Close()
-	if len(st.Store.Log) != 1 || len(st.Gone) != 1 {
-		t.Fatalf("state = %d updates, %d gone", len(st.Store.Log), len(st.Gone))
+	if len(st.Stores[0].Log) != 1 || len(st.Gone) != 1 {
+		t.Fatalf("state = %d updates, %d gone", len(st.Stores[0].Log), len(st.Gone))
 	}
 }

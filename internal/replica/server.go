@@ -49,7 +49,9 @@ type Config struct {
 	Journal *durable.Journal
 	// Restore, if non-nil, is the state recovered from Journal's log; the
 	// server rebuilds itself from it before attaching the journal (pass a
-	// nil store to New in that case — Restore supplies it).
+	// nil store to New in that case — Restore supplies it). It must come
+	// from a journal opened with this server's shard count, so it holds a
+	// store and a lock state for every shard.
 	Restore *durable.State
 }
 
@@ -111,6 +113,13 @@ type Server struct {
 	// agents on unrelated shards observe silent (non-head) queue mutations,
 	// and the simulator's figures depend on that exact schedule, so the DES
 	// engine keeps raising unscoped events bit-for-bit as before.
+	//
+	// This is a behaviour switch with a measured cost, not a compatibility
+	// shim: scoping the DES engine too leaves F2-F4/C1/T3 byte-identical but
+	// cuts the full A8 simulator table, majority 1220 -> 864 commits/s at 4
+	// shards and 2938 -> 2403 at 16, grid 2725 -> 2113 at 16 (DESIGN.md
+	// §11). The likely cause is non-head Locking List enqueues that raise no
+	// scoped notification.
 	scoped bool
 }
 
@@ -205,16 +214,7 @@ func (s *Server) shardOf(key string) int { return shard.Of(key, len(s.shards)) }
 // nacks (safe under Theorem 2), and the gone-set propagation plus claim
 // timeouts clear them.
 func (s *Server) restore(st *durable.State) {
-	stores := make([]store.State, len(s.shards))
-	locks := make([]durable.LockState, len(s.shards))
-	stores[0], locks[0] = st.Store, st.Lock
-	for i := 0; i+1 < len(s.shards) && i < len(st.ExtraStores); i++ {
-		stores[i+1] = st.ExtraStores[i]
-	}
-	for i := 0; i+1 < len(s.shards) && i < len(st.ExtraLocks); i++ {
-		locks[i+1] = st.ExtraLocks[i]
-	}
-	for _, ls := range locks {
+	for _, ls := range st.Locks {
 		if ls.Epoch > s.epoch {
 			s.epoch = ls.Epoch
 		}
@@ -227,17 +227,18 @@ func (s *Server) restore(st *durable.State) {
 		}
 	}
 	for i, sd := range s.shards {
-		sd.st = store.FromState(stores[i])
-		if locks[i].LLVersion > sd.llVersion {
-			sd.llVersion = locks[i].LLVersion
+		ls := st.Locks[i]
+		sd.st = store.FromState(st.Stores[i])
+		if ls.LLVersion > sd.llVersion {
+			sd.llVersion = ls.LLVersion
 		}
-		if locks[i].HeadVersion > sd.headVersion {
-			sd.headVersion = locks[i].HeadVersion
+		if ls.HeadVersion > sd.headVersion {
+			sd.headVersion = ls.HeadVersion
 		}
-		sd.ll = append([]agent.ID(nil), locks[i].LL...)
-		s.setGrant(i, locks[i].Grant)
-		if locks[i].GrantAttempt > sd.grantAttempt {
-			sd.grantAttempt = locks[i].GrantAttempt
+		sd.ll = append([]agent.ID(nil), ls.LL...)
+		s.setGrant(i, ls.Grant)
+		if ls.GrantAttempt > sd.grantAttempt {
+			sd.grantAttempt = ls.GrantAttempt
 		}
 		s.bump(sd, true) // recovery is a fresh head state
 	}
@@ -253,15 +254,11 @@ func (s *Server) attachJournal(j *durable.Journal) {
 		sd.st.SetJournal(j)
 	}
 	j.AddSource(func(st *durable.State) {
-		st.Store = s.shards[0].st.State()
-		st.Lock = s.lockState(0)
-		if len(s.shards) > 1 {
-			st.ExtraStores = make([]store.State, len(s.shards)-1)
-			st.ExtraLocks = make([]durable.LockState, len(s.shards)-1)
-			for i := 1; i < len(s.shards); i++ {
-				st.ExtraStores[i-1] = s.shards[i].st.State()
-				st.ExtraLocks[i-1] = s.lockState(i)
-			}
+		st.Stores = make([]store.State, len(s.shards))
+		st.Locks = make([]durable.LockState, len(s.shards))
+		for i, sd := range s.shards {
+			st.Stores[i] = sd.st.State()
+			st.Locks[i] = s.lockState(i)
 		}
 		st.Gone = append([]agent.ID(nil), s.goneList...)
 	})
@@ -295,7 +292,7 @@ func (s *Server) lockState(shrd int) durable.LockState {
 // re-grant a lock this server already released, or reuse an epoch.
 func (s *Server) logLock(shrd int, barrier bool) {
 	if s.journal != nil {
-		s.journal.LogLockShard(shrd, s.lockState(shrd), barrier)
+		s.journal.LogLock(shrd, s.lockState(shrd), barrier)
 	}
 }
 

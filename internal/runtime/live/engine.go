@@ -1,5 +1,5 @@
 // Package live implements the runtime seam on real infrastructure: wall
-// clock timers, one OS process per replica, and a gob-over-TCP fabric on
+// clock timers, one OS process per replica, and a wire-codec TCP fabric on
 // which mobile agents migrate as serialized wire state.
 //
 // The protocol packages are written for a single-threaded execution

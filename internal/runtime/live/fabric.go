@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -33,12 +32,6 @@ type frame struct {
 
 // FabricOptions tunes a Fabric beyond its address book.
 type FabricOptions struct {
-	// Codec selects the frame encoding: "wire" (default) is the hand-rolled
-	// zero-alloc codec from internal/wire, spoken behind a versioned
-	// connection preamble; "gob" is the legacy reflective encoding. The two
-	// are mutually unintelligible by design — a peer speaking the other one
-	// is refused loudly, never mis-decoded (DESIGN.md §11).
-	Codec string
 	// Trace, if non-nil, receives fabric-level events (currently the
 	// once-per-peer writer-queue-overflow notice).
 	Trace *trace.Log
@@ -47,10 +40,12 @@ type FabricOptions struct {
 // Fabric is a TCP implementation of runtime.Fabric for a fixed set of
 // replica processes. Each process listens on its own address and lazily
 // dials every peer it first sends to; one outbound connection per peer,
-// written by a dedicated goroutine fed from a bounded queue. The writer
-// drains its whole queue into one reused buffer and hands the kernel a
-// single write per drain — frames coalesce under load instead of costing a
-// syscall each.
+// written by a dedicated goroutine fed from a bounded queue. Frames use the
+// zero-alloc codec from internal/wire behind a versioned connection
+// preamble; a peer speaking anything else is refused loudly, never
+// mis-decoded (DESIGN.md §11). The writer drains its whole queue into one
+// reused buffer and hands the kernel a single write per drain — frames
+// coalesce under load instead of costing a syscall each.
 //
 // Send keeps the seam's fail-stop semantics: when a peer is unreachable or
 // its queue is full the message is dropped and the sender finds out by
@@ -61,7 +56,6 @@ type Fabric struct {
 	self   runtime.NodeID
 	addrs  map[runtime.NodeID]string
 	ln     net.Listener
-	gobby  bool // legacy gob codec (FabricOptions.Codec == "gob")
 	tracer *trace.Log
 
 	mu       sync.Mutex
@@ -81,19 +75,13 @@ type peer struct {
 }
 
 // NewFabric starts listening on addrs[self] and returns the fabric, using
-// the default (wire-codec) options. Peer connections are dialed on first
-// send.
+// the default options. Peer connections are dialed on first send.
 func NewFabric(eng *Engine, self runtime.NodeID, addrs map[runtime.NodeID]string) (*Fabric, error) {
 	return NewFabricOptions(eng, self, addrs, FabricOptions{})
 }
 
 // NewFabricOptions is NewFabric with explicit options.
 func NewFabricOptions(eng *Engine, self runtime.NodeID, addrs map[runtime.NodeID]string, opts FabricOptions) (*Fabric, error) {
-	switch opts.Codec {
-	case "", "wire", "gob":
-	default:
-		return nil, fmt.Errorf("live: unknown codec %q (want \"wire\" or \"gob\")", opts.Codec)
-	}
 	addr, ok := addrs[self]
 	if !ok {
 		return nil, fmt.Errorf("live: no address for self node %d", self)
@@ -107,7 +95,6 @@ func NewFabricOptions(eng *Engine, self runtime.NodeID, addrs map[runtime.NodeID
 		self:     self,
 		addrs:    addrs,
 		ln:       ln,
-		gobby:    opts.Codec == "gob",
 		tracer:   opts.Trace,
 		handlers: make(map[runtime.NodeID]runtime.Handler),
 		peers:    make(map[runtime.NodeID]*peer),
@@ -209,7 +196,7 @@ func (f *Fabric) Send(msg runtime.Message) {
 	if msg.From == runtime.None || msg.To == runtime.None {
 		panic(fmt.Sprintf("live: message with unset endpoints %+v", msg))
 	}
-	if !f.gobby && !wire.Registered(msg.Payload) {
+	if !wire.Registered(msg.Payload) {
 		// The protocol message set is closed; an unregistered payload is a
 		// programming error and must fail before it is queued, not decode
 		// as garbage on the peer.
@@ -241,14 +228,16 @@ func (f *Fabric) Send(msg runtime.Message) {
 		f.mu.Unlock()
 		return
 	}
-	f.mu.Unlock()
+	// Enqueue under f.mu: Close marks the fabric closed under the same lock
+	// before it closes p.out, so a send can never reach a closed queue. The
+	// select never blocks.
 	select {
 	case p.out <- frame{From: msg.From, To: msg.To, Size: msg.Size, Payload: msg.Payload}:
+		f.mu.Unlock()
 	default:
 		// Queue full: drop, per fail-stop semantics. The reliable layer or
 		// the protocol's own timeouts recover — but never silently: the
 		// drop is counted, and the first one per peer leaves a trace.
-		f.mu.Lock()
 		f.stats.MessagesDropped++
 		f.stats.QueueDrops++
 		noticed := p.dropNoticed
@@ -293,14 +282,12 @@ func (f *Fabric) peerLocked(id runtime.NodeID) (*peer, error) {
 func (f *Fabric) writeLoop(p *peer, addr string) {
 	defer f.wg.Done()
 	var conn net.Conn
-	var enc *gob.Encoder // gob codec only
-	var gw *bufio.Writer // gob codec only: flushed once per drain
-	var buf []byte       // wire codec only: the reused drain buffer
+	var buf []byte // the reused drain buffer
 	batch := make([]frame, 0, 64)
 	drop := func(n int) {
 		if conn != nil {
 			conn.Close()
-			conn, enc, gw = nil, nil, nil
+			conn = nil
 		}
 		f.mu.Lock()
 		f.stats.MessagesLost += n
@@ -328,17 +315,12 @@ func (f *Fabric) writeLoop(p *peer, addr string) {
 				continue
 			}
 			conn = c
-			if f.gobby {
-				gw = bufio.NewWriter(conn)
-				enc = gob.NewEncoder(gw)
-			} else {
-				if _, err := conn.Write(wire.Preamble[:]); err != nil {
-					drop(len(batch))
-					continue
-				}
+			if _, err := conn.Write(wire.Preamble[:]); err != nil {
+				drop(len(batch))
+				continue
 			}
 		}
-		if err := f.writeBatch(conn, enc, gw, &buf, batch); err != nil {
+		if err := f.writeBatch(conn, &buf, batch); err != nil {
 			drop(len(batch))
 			continue
 		}
@@ -352,16 +334,8 @@ func (f *Fabric) writeLoop(p *peer, addr string) {
 }
 
 // writeBatch encodes every frame of the batch and hands the kernel one
-// write (wire codec) or one Flush (gob).
-func (f *Fabric) writeBatch(conn net.Conn, enc *gob.Encoder, gw *bufio.Writer, buf *[]byte, batch []frame) error {
-	if f.gobby {
-		for i := range batch {
-			if err := enc.Encode(&batch[i]); err != nil {
-				return err
-			}
-		}
-		return gw.Flush()
-	}
+// write.
+func (f *Fabric) writeBatch(conn net.Conn, buf *[]byte, batch []frame) error {
 	b := (*buf)[:0]
 	for i := range batch {
 		fr := &batch[i]
@@ -421,17 +395,13 @@ func (f *Fabric) readLoop(conn net.Conn) {
 		delete(f.inbound, conn)
 		f.mu.Unlock()
 	}()
-	if f.gobby {
-		f.readGob(conn)
-		return
-	}
 	br := bufio.NewReaderSize(conn, 64<<10)
 	var pre [5]byte
 	if _, err := io.ReadFull(br, pre[:]); err != nil {
 		return
 	}
 	if pre != wire.Preamble {
-		detail := "not a MARP wire-codec stream (gob-codec peer?)"
+		detail := "not a MARP wire-codec stream"
 		if bytes.Equal(pre[:4], wire.Preamble[:4]) {
 			detail = fmt.Sprintf("wire version %d, want %d", pre[4], wire.Version)
 		}
@@ -469,18 +439,6 @@ func (f *Fabric) readLoop(conn net.Conn) {
 			return
 		}
 		f.deliver(frame{From: from, To: to, Size: size, Payload: payload})
-	}
-}
-
-// readGob is the legacy decode loop.
-func (f *Fabric) readGob(conn net.Conn) {
-	dec := gob.NewDecoder(conn)
-	for {
-		var fr frame
-		if err := dec.Decode(&fr); err != nil {
-			return
-		}
-		f.deliver(fr)
 	}
 }
 

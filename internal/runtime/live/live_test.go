@@ -549,3 +549,56 @@ func TestCrossEngineEquivalencePipelined(t *testing.T) {
 		keyDigests(fullLog(des.Server(1)), true),
 		keyDigests(localLog(t, nodes[0], 1), true))
 }
+
+// TestStartNodeCodec pins NodeConfig.Codec: the wire codec is the only
+// fabric encoding, so "" and "wire" start a node and anything else —
+// including the retired "gob" — is refused before anything listens.
+func TestStartNodeCodec(t *testing.T) {
+	for _, codec := range []string{"", "wire"} {
+		node, err := live.StartNode(live.NodeConfig{Self: 1, Addrs: freeAddrs(t, 1), Codec: codec})
+		if err != nil {
+			t.Fatalf("Codec %q: %v", codec, err)
+		}
+		node.Close()
+	}
+	for _, codec := range []string{"gob", "json"} {
+		if _, err := live.StartNode(live.NodeConfig{Self: 1, Addrs: freeAddrs(t, 1), Codec: codec}); err == nil || !strings.Contains(err.Error(), "codec") {
+			t.Errorf("Codec %q: err = %v, want an unknown-codec error", codec, err)
+		}
+	}
+}
+
+// TestFabricCloseWhileSending closes a fabric while another goroutine keeps
+// sending to a remote peer. Close closes the peer writer queues, so a send
+// that straddles it must be dropped, never put into a closed channel (a
+// panic) or left unordered with the close (a report under -race).
+func TestFabricCloseWhileSending(t *testing.T) {
+	eng := live.NewEngine(1)
+	defer eng.Close()
+	fab, err := live.NewFabric(eng, 1, freeAddrs(t, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, stop, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		msg := runtime.Message{From: 1, To: 2, Payload: &core.OutcomeMsg{}, Size: 96}
+		fab.Send(msg)
+		close(started)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				fab.Send(msg)
+			}
+		}
+	}()
+	<-started
+	fab.Close()
+	close(stop)
+	<-done
+	if s := fab.NetStats(); s.MessagesDropped == 0 {
+		t.Errorf("no send was dropped after Close: %+v", s)
+	}
+}

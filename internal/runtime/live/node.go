@@ -31,9 +31,10 @@ type NodeConfig struct {
 	// window (200µs is a good start; zero keeps one fsync per commit
 	// barrier). Only meaningful with DataDir and Fsync=commit.
 	CommitDelay time.Duration
-	// Codec selects the fabric frame encoding: "wire" (default) or "gob"
-	// (the legacy reflective codec, kept for the A9 ablation and for
-	// talking to pre-wire-codec peers). All processes must agree.
+	// Codec names the fabric frame encoding. The wire codec is the only
+	// one, so StartNode accepts just "" and "wire" and refuses anything
+	// else. The field is kept only because the benchmark module
+	// (perfbench) sets Codec: "wire" and must keep compiling unchanged.
 	Codec string
 	// Cluster carries the engine-neutral protocol configuration. N and
 	// Local are derived from Addrs/Self and must be left unset. Durability
@@ -65,6 +66,9 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Cluster.N != 0 || cfg.Cluster.Local != nil {
 		return nil, fmt.Errorf("live: Cluster.N and Cluster.Local are derived from Addrs; leave them unset")
 	}
+	if cfg.Codec != "" && cfg.Codec != "wire" {
+		return nil, fmt.Errorf("live: unknown codec %q (the wire codec is the only one)", cfg.Codec)
+	}
 	if cfg.Cluster.Durability != nil && cfg.DataDir != "" {
 		return nil, fmt.Errorf("live: set either DataDir or an explicit Cluster.Durability, not both")
 	}
@@ -86,7 +90,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		}
 	}
 	eng := NewEngine(cfg.Seed)
-	fab, err := NewFabricOptions(eng, cfg.Self, cfg.Addrs, FabricOptions{Codec: cfg.Codec, Trace: cfg.Cluster.Trace})
+	fab, err := NewFabricOptions(eng, cfg.Self, cfg.Addrs, FabricOptions{Trace: cfg.Cluster.Trace})
 	if err != nil {
 		eng.Close()
 		return nil, err

@@ -29,8 +29,6 @@ type OptNodeConfig struct {
 	// Fsync selects the WAL fsync policy (see wal.ParsePolicy). Only
 	// meaningful with DataDir.
 	Fsync string
-	// Codec selects the fabric frame encoding: "wire" (default) or "gob".
-	Codec string
 	// GossipInterval overrides the reconciliation launch period (zero
 	// keeps the protocol default).
 	GossipInterval time.Duration
@@ -72,7 +70,7 @@ func StartOptNode(cfg OptNodeConfig) (*OptNode, error) {
 		}
 	}
 	eng := NewEngine(cfg.Seed)
-	fab, err := NewFabricOptions(eng, cfg.Self, cfg.Addrs, FabricOptions{Codec: cfg.Codec})
+	fab, err := NewFabric(eng, cfg.Self, cfg.Addrs)
 	if err != nil {
 		eng.Close()
 		return nil, err

@@ -53,3 +53,43 @@ func TestProtocolPackagesStayEngineNeutral(t *testing.T) {
 		}
 	}
 }
+
+// TestNoPackageImportsGob keeps the live fabric on one codec: agent state
+// and fabric frames travel as internal/wire encodings, and a second,
+// reflective encoding would reopen the fork the wire codec closed
+// (DESIGN.md §11). It walks every non-test Go file of the module.
+//
+// Test files are exempt: the DES byte-model calibration check measures
+// agent state against a gob reference encoding.
+func TestNoPackageImportsGob(t *testing.T) {
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if ipath, _ := strconv.Unquote(imp.Path.Value); ipath == "encoding/gob" {
+				t.Errorf("%s imports encoding/gob: the wire codec is the only encoding", path)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,11 +1,10 @@
 // Package wire is the hand-rolled binary codec for the live fabric's
-// closed set of protocol messages (DESIGN.md §11). It replaces
-// encoding/gob on the live-path hot loops: encoding appends into a
+// closed set of protocol messages (DESIGN.md §11). Encoding appends into a
 // caller-reused buffer (zero allocations in steady state, following the
 // PR 1 free-list discipline), decoding walks a bounds-checked Reader with
 // a sticky error (the internal/durable decoder idiom), and every concrete
 // message type is registered under a one-byte tag by the package that owns
-// it — mirroring runtime.RegisterWireType, so no import cycles form.
+// it, so no import cycles form.
 //
 // Encoding rules:
 //
@@ -35,11 +34,11 @@ import (
 
 // Version is the wire-format version byte carried in the live fabric's
 // connection preamble. Nodes refuse peers speaking any other version (or
-// gob) loudly instead of mis-decoding them.
+// any other stream) loudly instead of mis-decoding them.
 const Version = 1
 
-// Preamble is what a wire-codec connection starts with: a magic that can
-// never begin a gob stream, then the format version.
+// Preamble is what a wire-codec connection starts with: a magic, then the
+// format version.
 var Preamble = [5]byte{'M', 'A', 'R', 'P', Version}
 
 // ErrUnknownTag reports a tag byte with no registered message type.
@@ -304,9 +303,8 @@ var (
 )
 
 // Register binds tag to prototype's concrete type. Packages call it from
-// init for every payload type they put on the fabric, exactly as they call
-// runtime.RegisterWireType for gob. Tags are part of the wire format:
-// never renumber.
+// init for every payload type they put on the fabric. Tags are part of the
+// wire format: never renumber.
 func Register(tag byte, prototype any, enc EncodeFunc, dec DecodeFunc) {
 	t := reflect.TypeOf(prototype)
 	if byTag[tag] != nil {

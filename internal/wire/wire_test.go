@@ -340,8 +340,9 @@ func FuzzReaderPrimitives(f *testing.F) {
 	})
 }
 
-// FuzzDecodeWireState exercises the agent-state decoder (magic sniff + gob
-// fallback) with corrupt input: it must reject or accept, never panic.
+// FuzzDecodeWireState exercises the agent-state decoder (magic byte, then
+// the wire-codec body) with corrupt input: it must reject or accept, never
+// panic.
 func FuzzDecodeWireState(f *testing.F) {
 	st := core.WireState{
 		Requests:   []core.Request{{Key: "k", Op: core.OpSet, Arg: "v"}},
@@ -351,9 +352,6 @@ func FuzzDecodeWireState(f *testing.F) {
 		Gone:       []agent.ID{{Home: 1, Born: 9, Seq: 2}},
 	}
 	if data, err := st.Encode(); err == nil {
-		f.Add(data)
-	}
-	if data, err := st.EncodeGob(); err == nil {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
