@@ -55,7 +55,7 @@ func scrape(t *testing.T, url string) map[string]float64 {
 // and monotonic throughout. Run with -race this doubles as the proof
 // that scraping never touches engine state off-loop.
 func TestMetricsScrapeUnderLoad(t *testing.T) {
-	srv, cli := startServer(t)
+	srv, cli := startServer(t, "marp")
 	opsSrv, err := ops.Serve("127.0.0.1:0", ops.Config{
 		Gather: srv.GatherMetrics,
 		Health: srv.Health,
