@@ -327,26 +327,23 @@ func main() {
 		if len(args) != 2 {
 			usage()
 		}
-		resp, err := cli.DigestReport(node(args[1]))
+		resp, err := cli.Digest(node(args[1]))
 		if err != nil {
 			fatal(err)
 		}
-		kind := resp.Kind
-		if kind == "" {
-			kind = transport.DigestKindCommitSet // pre-kind server
+		if resp.Stable == nil {
+			fatal(fmt.Errorf("digest response carries no converging tier"))
 		}
 		if *asJSON {
 			out := map[string]any{
-				"node": node(args[1]), "kind": kind,
-				"digest": resp.Value, "commits": int(resp.Seq),
+				"node": node(args[1]), "kind": resp.Kind,
+				"digest": resp.Stable.Digest, "commits": resp.Stable.Entries,
 				"queue_drops": resp.QueueDrops,
 			}
 			// Optimistic services report both tiers, per-key digests
-			// included; "digest"/"commits" above alias the stable tier.
-			if resp.Stable != nil {
-				out["stable"] = resp.Stable
-			}
+			// included; "digest"/"commits" above are the stable tier.
 			if resp.Tentative != nil {
+				out["stable"] = resp.Stable
 				out["tentative"] = resp.Tentative
 			}
 			if len(resp.Shards) > 0 {
@@ -355,11 +352,11 @@ func main() {
 			printJSON(out)
 			return
 		}
-		if kind == transport.DigestKindStablePrefix && resp.Stable != nil && resp.Tentative != nil {
+		if resp.Tentative != nil {
 			fmt.Printf("stable    %s (%d entries, %d keys)\n", resp.Stable.Digest, resp.Stable.Entries, len(resp.Stable.Keys))
 			fmt.Printf("tentative %s (%d entries, %d keys)\n", resp.Tentative.Digest, resp.Tentative.Entries, len(resp.Tentative.Keys))
 		} else {
-			fmt.Printf("%s (%d commits)\n", resp.Value, resp.Seq)
+			fmt.Printf("%s (%d commits)\n", resp.Stable.Digest, resp.Stable.Entries)
 		}
 		if resp.QueueDrops > 0 {
 			fmt.Printf("  warning: %d fabric queue drops at this process\n", resp.QueueDrops)
@@ -369,19 +366,15 @@ func main() {
 				sh.Shard, sh.Digest, sh.Commits, sh.Requests, sh.MeanALTMs, sh.MeanATTMs, sh.MeanVisits)
 		}
 	case "referee":
-		resp, err := cli.RefereeReport()
+		resp, err := cli.Referee()
 		if err != nil {
 			fatal(err)
 		}
-		kind := resp.Kind
-		if kind == "" {
-			kind = transport.RefereeKindGrants // pre-kind server
-		}
 		if *asJSON {
-			printJSON(map[string]any{"kind": kind, "wins": resp.Wins, "violations": resp.Violations})
+			printJSON(map[string]any{"kind": resp.Kind, "wins": resp.Wins, "violations": resp.Violations})
 			return
 		}
-		if kind == transport.DigestKindStablePrefix {
+		if resp.Kind == transport.DigestKindStablePrefix {
 			fmt.Printf("stable-prefix elections %d, divergences %d\n", resp.Wins, resp.Violations)
 		} else {
 			fmt.Printf("wins %d, violations %d\n", resp.Wins, resp.Violations)
@@ -478,16 +471,6 @@ func snapshotScenario(addrs []string, timeout time.Duration, dir, name, note str
 	var ref *transport.ScenarioBody
 	var refAddr string
 	commits, failed, outstanding := 0, 0, 0
-	// Digests of different kinds (a MARP commit-set vs an optimistic stable
-	// prefix) are incomparable by construction: name the mismatch instead of
-	// diffing the key maps as if they meant the same thing. Empty means a
-	// pre-kind server — commit-set.
-	kindOf := func(b *transport.ScenarioBody) string {
-		if b.DigestKind == "" {
-			return transport.DigestKindCommitSet
-		}
-		return b.DigestKind
-	}
 	for _, a := range addrs {
 		cli, err := dialRetry(a, 3)
 		if err != nil {
@@ -510,16 +493,20 @@ func snapshotScenario(addrs []string, timeout time.Duration, dir, name, note str
 			body.Geometry != ref.Geometry || body.Fsync != ref.Fsync {
 			fatal(fmt.Errorf("%s and %s disagree on the cluster shape", refAddr, a))
 		}
-		if kindOf(body) != kindOf(ref) {
+		// Digests of different kinds (a MARP commit-set vs an optimistic
+		// stable prefix) are incomparable by construction: name the
+		// mismatch instead of diffing the key maps as if they meant the
+		// same thing.
+		if body.DigestKind != ref.DigestKind {
 			fatal(fmt.Errorf("%s reports %s digests but %s reports %s; refusing to compare mixed digest kinds",
-				refAddr, kindOf(ref), a, kindOf(body)))
+				refAddr, ref.DigestKind, a, body.DigestKind))
 		}
 		if diffs := scenario.DiffDigests(ref.Keys, body.Keys); len(diffs) > 0 {
 			fatal(fmt.Errorf("%s and %s have not converged (%s); heal/recover and retry", refAddr, a, diffs[0]))
 		}
 	}
-	if kindOf(ref) != transport.DigestKindCommitSet {
-		fatal(fmt.Errorf("capture digests are %q: replay bundles verify commit-set digests, and the replayer drives the MARP protocol only", kindOf(ref)))
+	if ref.DigestKind != transport.DigestKindCommitSet {
+		fatal(fmt.Errorf("capture digests are %q: replay bundles verify commit-set digests, and the replayer drives the MARP protocol only", ref.DigestKind))
 	}
 	if failed > 0 {
 		fatal(fmt.Errorf("unclean capture: %d failed request(s); a replay cannot reproduce lost submissions", failed))

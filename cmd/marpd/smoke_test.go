@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"net"
 	"os"
@@ -16,10 +17,11 @@ import (
 
 // TestLiveMultiProcessSmoke is the deployment-shaped end of the runtime
 // seam: it builds the real marpd and marpctl binaries, spawns three live
-// replica processes, drives ~50 submits and reads through the client
-// protocol, and asserts that the processes converge on identical commit
-// digests, that the per-process referees stay clean, and that SIGTERM shuts
-// every process down with exit status 0.
+// replica processes per protocol, drives ~50 submits and reads through the
+// client protocol, and asserts that the processes converge on identical
+// digests of the converging tier (MARP's commit set, the optimistic stable
+// prefix), that the per-process referees stay clean, and that SIGTERM
+// shuts every process down with exit status 0.
 func TestLiveMultiProcessSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes and uses wall-clock timeouts")
@@ -33,7 +35,12 @@ func TestLiveMultiProcessSmoke(t *testing.T) {
 			t.Fatalf("building %s: %v\n%s", pkg, err, out)
 		}
 	}
+	for _, protocol := range []string{"marp", "optimistic"} {
+		t.Run(protocol, func(t *testing.T) { liveSmoke(t, marpd, marpctl, protocol) })
+	}
+}
 
+func liveSmoke(t *testing.T, marpd, marpctl, protocol string) {
 	const n = 3
 	fabric := make([]string, n+1) // replica-to-replica addresses, 1-based
 	client := make([]string, n+1) // client protocol addresses, 1-based
@@ -51,6 +58,7 @@ func TestLiveMultiProcessSmoke(t *testing.T) {
 	for i := 1; i <= n; i++ {
 		cmd := exec.Command(marpd,
 			"-mode", "live",
+			"-protocol", protocol,
 			"-node", fmt.Sprint(i),
 			"-peers", peers,
 			"-addr", client[i])
@@ -86,20 +94,42 @@ func TestLiveMultiProcessSmoke(t *testing.T) {
 		}
 	}
 
-	// Convergence: all three processes report the same digest over the same
-	// number of commits (driven through the marpctl binary, as an operator
-	// would).
+	// Convergence: all three processes report the same digest over every
+	// write (driven through the marpctl binary, as an operator would):
+	// MARP through the text output, optimistic through -json.
+	digest := func(i int) (string, bool) {
+		if protocol == "marp" {
+			out, err := exec.Command(marpctl, "-addr", client[i], "digest", fmt.Sprint(i)).Output()
+			if err != nil {
+				t.Fatalf("marpctl digest %d: %v", i, err)
+			}
+			d := strings.TrimSpace(string(out))
+			return d, strings.Contains(d, fmt.Sprintf("(%d commits)", writes))
+		}
+		out, err := exec.Command(marpctl, "-json", "-addr", client[i], "digest", fmt.Sprint(i)).Output()
+		if err != nil {
+			t.Fatalf("marpctl -json digest %d: %v", i, err)
+		}
+		var d struct {
+			Kind    string                `json:"kind"`
+			Digest  string                `json:"digest"`
+			Commits int                   `json:"commits"`
+			Stable  *transport.TierDigest `json:"stable"`
+		}
+		if err := json.Unmarshal(out, &d); err != nil {
+			t.Fatalf("parsing digest JSON %q: %v", out, err)
+		}
+		return d.Digest, d.Kind == transport.DigestKindStablePrefix && d.Commits == writes &&
+			d.Stable != nil && d.Stable.Digest == d.Digest
+	}
 	deadline := time.Now().Add(30 * time.Second)
 	var digests [n + 1]string
 	for {
 		agree := true
 		for i := 1; i <= n; i++ {
-			out, err := exec.Command(marpctl, "-addr", client[i], "digest", fmt.Sprint(i)).Output()
-			if err != nil {
-				t.Fatalf("marpctl digest %d: %v", i, err)
-			}
-			digests[i] = strings.TrimSpace(string(out))
-			if !strings.Contains(digests[i], fmt.Sprintf("(%d commits)", writes)) || digests[i] != digests[1] {
+			var complete bool
+			digests[i], complete = digest(i)
+			if !complete || digests[i] != digests[1] {
 				agree = false
 			}
 		}
@@ -123,13 +153,32 @@ func TestLiveMultiProcessSmoke(t *testing.T) {
 		}
 	}
 
-	// The per-process referees observed no exclusivity violations.
+	// The per-process referees observed no violations: no exclusivity
+	// violation (MARP), no stable-prefix divergence (optimistic).
 	for i := 1; i <= n; i++ {
-		out, err := exec.Command(marpctl, "-addr", client[i], "referee").Output()
-		if err != nil {
-			t.Fatalf("marpctl referee (process %d): %v", i, err)
+		if protocol == "marp" {
+			out, err := exec.Command(marpctl, "-addr", client[i], "referee").Output()
+			if err != nil {
+				t.Fatalf("marpctl referee (process %d): %v", i, err)
+			}
+			if !strings.Contains(string(out), "violations 0") {
+				t.Fatalf("process %d referee: %s", i, out)
+			}
+			continue
 		}
-		if !strings.Contains(string(out), "violations 0") {
+		out, err := exec.Command(marpctl, "-json", "-addr", client[i], "referee").Output()
+		if err != nil {
+			t.Fatalf("marpctl -json referee (process %d): %v", i, err)
+		}
+		var ref struct {
+			Kind       string `json:"kind"`
+			Wins       int    `json:"wins"`
+			Violations int    `json:"violations"`
+		}
+		if err := json.Unmarshal(out, &ref); err != nil {
+			t.Fatalf("parsing referee JSON %q: %v", out, err)
+		}
+		if ref.Kind != transport.DigestKindStablePrefix || ref.Wins != writes || ref.Violations != 0 {
 			t.Fatalf("process %d referee: %s", i, out)
 		}
 	}

@@ -41,16 +41,14 @@ const (
 )
 
 func (p LatencyPreset) model() (simnet.LatencyModel, error) {
-	switch p {
-	case LAN:
-		return simnet.LAN(), nil
-	case Prototype, "":
-		return simnet.Prototype(), nil
-	case WAN:
-		return simnet.WAN(), nil
-	default:
-		return nil, fmt.Errorf("harness: unknown latency preset %q", p)
+	if p == "" {
+		p = Prototype
 	}
+	model, err := simnet.Preset(string(p))
+	if err != nil {
+		return nil, fmt.Errorf("harness: %w", err)
+	}
+	return model, nil
 }
 
 // timers returns protocol timeouts proportionate to the preset's delays:

@@ -30,13 +30,6 @@ type frame struct {
 	Payload  any
 }
 
-// FabricOptions tunes a Fabric beyond its address book.
-type FabricOptions struct {
-	// Trace, if non-nil, receives fabric-level events (currently the
-	// once-per-peer writer-queue-overflow notice).
-	Trace *trace.Log
-}
-
 // Fabric is a TCP implementation of runtime.Fabric for a fixed set of
 // replica processes. Each process listens on its own address and lazily
 // dials every peer it first sends to; one outbound connection per peer,
@@ -74,14 +67,10 @@ type peer struct {
 	dropNoticed bool // the once-per-peer queue-overflow trace fired
 }
 
-// NewFabric starts listening on addrs[self] and returns the fabric, using
-// the default options. Peer connections are dialed on first send.
-func NewFabric(eng *Engine, self runtime.NodeID, addrs map[runtime.NodeID]string) (*Fabric, error) {
-	return NewFabricOptions(eng, self, addrs, FabricOptions{})
-}
-
-// NewFabricOptions is NewFabric with explicit options.
-func NewFabricOptions(eng *Engine, self runtime.NodeID, addrs map[runtime.NodeID]string, opts FabricOptions) (*Fabric, error) {
+// NewFabric starts listening on addrs[self] and returns the fabric. Peer
+// connections are dialed on first send. A non-nil tr receives fabric-level
+// events (currently the once-per-peer writer-queue-overflow notice).
+func NewFabric(eng *Engine, self runtime.NodeID, addrs map[runtime.NodeID]string, tr *trace.Log) (*Fabric, error) {
 	addr, ok := addrs[self]
 	if !ok {
 		return nil, fmt.Errorf("live: no address for self node %d", self)
@@ -95,7 +84,7 @@ func NewFabricOptions(eng *Engine, self runtime.NodeID, addrs map[runtime.NodeID
 		self:     self,
 		addrs:    addrs,
 		ln:       ln,
-		tracer:   opts.Trace,
+		tracer:   tr,
 		handlers: make(map[runtime.NodeID]runtime.Handler),
 		peers:    make(map[runtime.NodeID]*peer),
 		inbound:  make(map[net.Conn]bool),

@@ -575,7 +575,7 @@ func TestStartNodeCodec(t *testing.T) {
 func TestFabricCloseWhileSending(t *testing.T) {
 	eng := live.NewEngine(1)
 	defer eng.Close()
-	fab, err := live.NewFabric(eng, 1, freeAddrs(t, 2))
+	fab, err := live.NewFabric(eng, 1, freeAddrs(t, 2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

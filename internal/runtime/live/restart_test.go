@@ -108,3 +108,62 @@ func TestLiveRestartRecoversFromDisk(t *testing.T) {
 		t.Fatalf("shared referee saw violations: %s", violations[0])
 	}
 }
+
+// TestStartNodeUnderTraffic restarts a durable replica again and again
+// while its peers keep submitting, so agents and protocol messages arrive
+// on its actor loop while StartNode is still building the cluster. The
+// cluster (journal replay included) must be built on that loop; built on
+// the caller's goroutine, -race reports the arriving agent reading the
+// server table NewCluster is still writing.
+func TestStartNodeUnderTraffic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live cluster test uses wall-clock timeouts")
+	}
+	const n = 3
+	addrs := freeAddrs(t, n)
+	dirs := make([]string, n+1)
+	for i := 1; i <= n; i++ {
+		dirs[i] = t.TempDir()
+	}
+	start := func(i int) *live.Node {
+		node, err := live.StartNode(live.NodeConfig{
+			Self:    runtime.NodeID(i),
+			Addrs:   addrs,
+			Seed:    int64(100 + i),
+			DataDir: dirs[i],
+			Fsync:   "none",
+			Cluster: core.Config{MigrationTimeout: 50 * time.Millisecond},
+		})
+		if err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+		return node
+	}
+	peers := []*live.Node{start(2), start(3)}
+	stop := make(chan struct{})
+	done := make(chan struct{}, len(peers))
+	for i, node := range peers {
+		home := runtime.NodeID(i + 2)
+		go func() {
+			defer func() { done <- struct{}{} }()
+			for s := 0; ; s++ {
+				select {
+				case <-stop:
+					return
+				case <-time.After(time.Millisecond):
+				}
+				node.Eng.Do(func() { _ = node.Cluster.Submit(home, core.Set(fmt.Sprintf("k%d", s%8), "v")) })
+			}
+		}()
+	}
+	for round := 0; round < 40; round++ {
+		start(1).Close()
+	}
+	close(stop)
+	for range peers {
+		<-done
+	}
+	for _, node := range peers {
+		node.Close()
+	}
+}

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"math"
 	"time"
 )
@@ -103,3 +104,16 @@ func WAN() LatencyModel { return Exponential(40*time.Millisecond, 15*time.Millis
 // milliseconds per hop (serialization plus transfer), which is what puts the
 // paper's Figure 4 crossover near a 45 ms inter-arrival time.
 func Prototype() LatencyModel { return Exponential(3*time.Millisecond, 1500*time.Microsecond) }
+
+// Preset returns the named latency preset: "lan", "prototype" or "wan".
+func Preset(name string) (LatencyModel, error) {
+	switch name {
+	case "lan":
+		return LAN(), nil
+	case "prototype":
+		return Prototype(), nil
+	case "wan":
+		return WAN(), nil
+	}
+	return nil, fmt.Errorf("unknown latency preset %q (lan, prototype or wan)", name)
+}

@@ -136,16 +136,12 @@ func NewCluster(o Options) (*Cluster, error) {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	var model simnet.LatencyModel
-	switch o.Latency {
-	case LAN, "":
-		model = simnet.LAN()
-	case Prototype:
-		model = simnet.Prototype()
-	case WAN:
-		model = simnet.WAN()
-	default:
-		return nil, fmt.Errorf("marp: unknown latency %q", o.Latency)
+	if o.Latency == "" {
+		o.Latency = LAN
+	}
+	model, err := simnet.Preset(string(o.Latency))
+	if err != nil {
+		return nil, fmt.Errorf("marp: %w", err)
 	}
 	var log *trace.Log
 	if o.CaptureTrace {
